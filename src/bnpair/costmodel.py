@@ -15,7 +15,12 @@ This module owns all performance-model state:
 * ``efficiency`` -- the datapath / (area x time) figure of merit.
 
 Counting contexts are intentionally thread-local and explicit: concurrent
-computations that each open their own scope never contend.
+computations that each open their own scope never contend, and a thread that
+opened none records nothing while another thread counts.  A module-level
+count of the scopes open in any thread, raised and lowered by ``counting()``
+under a lock, keeps counting cheap when it is off: with no scope open,
+``tick`` returns after one global load and the F_{p^2} nesting marker
+``fp2_scope`` (one shared object, no generator) touches no state.
 """
 
 from __future__ import annotations
@@ -35,24 +40,6 @@ from typing import Callable, Iterator
 FP_SYMBOLS = ("a", "m", "s", "i", "m_beta")
 #: quadratic-extension (F_{p^2}) counter symbols
 FP2_SYMBOLS = ("a2", "m2", "s2", "i2", "m_xi")
-#: higher-level counters
-HIGH_SYMBOLS = (
-    "fp6_mul",
-    "fp6_sqr",
-    "fp6_inv",
-    "fp12_mul",
-    "fp12_sqr",
-    "fp12_inv",
-    "cyclotomic_sqr",
-    "sparse_mul",
-    "frobenius",
-    "conjugation",
-    "doubling_step",
-    "addition_step",
-    "fsl_transfers",
-)
-
-ALL_SYMBOLS = FP_SYMBOLS + FP2_SYMBOLS + HIGH_SYMBOLS
 
 
 class OpCounts:
@@ -77,9 +64,6 @@ class OpCounts:
 
     def __getitem__(self, name: str) -> int:
         return self._c.get(name, 0)
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        self._c[name] += amount
 
     def as_dict(self) -> dict[str, int]:
         return {k: v for k, v in sorted(self._c.items()) if v}
@@ -110,48 +94,71 @@ class CountingContext:
 
 _tls = threading.local()
 
-
-def _current() -> CountingContext | None:
-    return getattr(_tls, "ctx", None)
+#: counting scopes open in any thread; written only under ``_open_lock``
+_open_scopes = 0
+_open_lock = threading.Lock()
 
 
 def tick(symbol: str, amount: int = 1) -> None:
-    """Record ``amount`` occurrences of ``symbol`` in the active scope, if any."""
-    ctx = _current()
+    """Record ``amount`` occurrences of ``symbol`` in this thread's active
+    scope, if any.  While no scope is open in any thread this costs one
+    global load; otherwise a thread that opened no scope still records
+    nothing."""
+    if not _open_scopes:
+        return
+    ctx = getattr(_tls, "ctx", None)
     if ctx is None:
         return
-    ctx.counts.bump(symbol, amount)
-    if ctx.fp2_depth == 0 and symbol in ("a", "m", "s", "i", "m_beta"):
-        ctx.counts.bump("direct_" + symbol, amount)
+    c = ctx.counts._c
+    c[symbol] += amount
+    if ctx.fp2_depth == 0 and symbol in FP_SYMBOLS:
+        c["direct_" + symbol] += amount
 
 
-@contextmanager
-def fp2_scope() -> Iterator[None]:
-    """Mark base-field ticks that occur inside an F_{p^2} operation as nested."""
-    ctx = _current()
-    if ctx is None:
-        yield
-        return
-    ctx.fp2_depth += 1
-    try:
-        yield
-    finally:
-        ctx.fp2_depth -= 1
+class _Fp2Scope:
+    """Marks base-field ticks inside an F_{p^2} operation as nested.  One
+    shared instance serves every call (``with fp2_scope:``).  No counting
+    scope of this thread opens or closes inside one F_{p^2} operation, so
+    ``__enter__`` and ``__exit__`` see the same context and the depth stays
+    balanced, also when an exception passes through."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        if _open_scopes:
+            ctx = getattr(_tls, "ctx", None)
+            if ctx is not None:
+                ctx.fp2_depth += 1
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        if _open_scopes:
+            ctx = getattr(_tls, "ctx", None)
+            if ctx is not None:
+                ctx.fp2_depth -= 1
+
+
+fp2_scope = _Fp2Scope()
 
 
 @contextmanager
 def counting() -> Iterator[CountingContext]:
-    """Open a counting scope.  Nested scopes compose additively: ticks inside
-    an inner scope are credited to every enclosing scope as well."""
-    outer = _current()
+    """Open a counting scope for the calling thread.  Nested scopes compose
+    additively: ticks inside an inner scope are credited to every enclosing
+    scope as well."""
+    global _open_scopes
+    outer = getattr(_tls, "ctx", None)
     ctx = CountingContext()
     if outer is not None:
         ctx.fp2_depth = outer.fp2_depth
+    with _open_lock:
+        _open_scopes += 1
     _tls.ctx = ctx
     try:
         yield ctx
     finally:
         _tls.ctx = outer
+        with _open_lock:
+            _open_scopes -= 1
         if outer is not None:
             outer.counts._c.update(ctx.counts._c)
 

@@ -73,21 +73,21 @@ def fp2_eq(a: Fp2, b: Fp2) -> bool:
 def fp2_add(a: Fp2, b: Fp2, fld) -> Fp2:
     tick("a2")
     m = fld.modulus
-    with fp2_scope():
+    with fp2_scope:
         return (fp.add_mod(a[0], b[0], m), fp.add_mod(a[1], b[1], m))
 
 
 def fp2_sub(a: Fp2, b: Fp2, fld) -> Fp2:
     tick("a2")
     m = fld.modulus
-    with fp2_scope():
+    with fp2_scope:
         return (fp.sub_mod(a[0], b[0], m), fp.sub_mod(a[1], b[1], m))
 
 
 def fp2_neg(a: Fp2, fld) -> Fp2:
     tick("a2")
     m = fld.modulus
-    with fp2_scope():
+    with fp2_scope:
         return (fp.neg_mod(a[0], m), fp.neg_mod(a[1], m))
 
 
@@ -104,7 +104,7 @@ def fp2_mul(a: Fp2, b: Fp2, fld) -> Fp2:
     """Karatsuba: 3 multiplications, 1 beta-constant multiplication, 5 add/sub."""
     tick("m2")
     m = fld.modulus
-    with fp2_scope():
+    with fp2_scope:
         t0 = fp.mont_mul(a[0], b[0], m)
         t1 = fp.mont_mul(a[1], b[1], m)
         sa = fp.add_mod(a[0], a[1], m)
@@ -119,7 +119,7 @@ def fp2_sqr(a: Fp2, fld) -> Fp2:
     """Complex method: (a0 + a1)(a0 + beta*a1) recombination, 2m + 2m_beta + 5a."""
     tick("s2")
     m = fld.modulus
-    with fp2_scope():
+    with fp2_scope:
         v0 = fp.add_mod(a[0], a[1], m)
         v1 = fp.add_mod(a[0], fp.mul_small(a[1], fld.beta, m), m)
         t = fp.mont_mul(v0, v1, m)
@@ -132,7 +132,7 @@ def fp2_sqr(a: Fp2, fld) -> Fp2:
 def fp2_mul_beta(a: Fp2, fld) -> Fp2:
     """Component-wise multiplication by the constant beta."""
     m = fld.modulus
-    with fp2_scope():
+    with fp2_scope:
         return (fp.mul_small(a[0], fld.beta, m), fp.mul_small(a[1], fld.beta, m))
 
 
@@ -141,7 +141,7 @@ def fp2_mul_xi(a: Fp2, fld) -> Fp2:
     tick("m_xi")
     m = fld.modulus
     u0, u1 = fld.xi
-    with fp2_scope():
+    with fp2_scope:
         if (u0, u1) == (0, 1):
             # xi = mu: (c0 + c1 mu) mu = beta c1 + c0 mu
             return (fp.mul_small(a[1], fld.beta, m), a[0])
@@ -166,7 +166,7 @@ def fp2_inv(a: Fp2, fld) -> Fp2:
         raise ZeroDivisionError("zero is not invertible in F_p2")
     tick("i2")
     m = fld.modulus
-    with fp2_scope():
+    with fp2_scope:
         t0 = fp.mont_mul(a[0], a[0], m)
         t1 = fp.mont_mul(a[1], a[1], m)
         d = fp.sub_mod(t0, fp.mul_small(t1, fld.beta, m), m)

@@ -167,6 +167,17 @@ class TestCost:
         # the 2mb model is far above the published time (see criterion 9)
         assert doc["published_err"] > 1.0
 
+    def test_pairing_reports_published_cycles(self, capsys):
+        code, out, _ = run_cli(
+            ["cost", "--paper", "--function", "pairing", "--arch", "karatsuba"], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["published_cycles"] == 1_122_817
+        # 1,122,817 cycles at 100 MHz: a tenth of the published 112.28 ms
+        assert doc["published_cycles_ms"] == pytest.approx(11.2282, abs=1e-4)
+        assert doc["published_ms"] / doc["published_cycles_ms"] == pytest.approx(10, rel=1e-3)
+
     def test_tiny_pairing_has_no_published_gap(self, capsys):
         code, out, _ = run_cli(
             ["cost", "--t", "1", "--function", "pairing", "--arch", "2mb"], capsys

@@ -2,10 +2,12 @@
 and the efficiency metric."""
 
 import json
+import sys
+import threading
 
 import pytest
 
-from bnpair import costmodel, tower
+from bnpair import costmodel, fp, tower
 from bnpair.costmodel import (
     CycleModel,
     DESIGN_REFERENCE,
@@ -60,6 +62,105 @@ class TestCounting:
         a = OpCounts({"m": 2})
         b = OpCounts({"m": 3, "a": 1})
         assert (a + b).as_dict() == {"a": 1, "m": 5}
+
+
+def _rand_fp12(paper, rng):
+    return tuple(
+        tuple(
+            tower.fp2_from_ints(rng.randrange(paper.p), rng.randrange(paper.p), paper)
+            for _ in range(3)
+        )
+        for _ in range(2)
+    )
+
+
+def _run_threads(targets, timeout=60.0):
+    """Start one thread per target with a short switch interval, so that the
+    threads interleave inside single field operations, and join them all."""
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=t) for t in targets]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestCountingThreads:
+    """Scopes are per thread; the open-scope count only decides whether a
+    tick looks for one."""
+
+    @staticmethod
+    def _work(a, b, paper):
+        for _ in range(3):
+            tower.fp12_mul(a, b, paper)
+
+    def test_concurrent_scopes_count_exactly(self, paper, rng):
+        a, b = _rand_fp12(paper, rng), _rand_fp12(paper, rng)
+        _, expected = with_counting(lambda: self._work(a, b, paper))
+
+        start = threading.Barrier(4)
+        results = []
+
+        def worker():
+            start.wait()
+            with counting() as ctx:
+                self._work(a, b, paper)
+            results.append(ctx.counts)
+
+        _run_threads([worker] * 4)
+        assert len(results) == 4
+        assert all(counts == expected for counts in results)
+
+    def test_uncounted_thread_adds_nothing(self, paper, rng):
+        a, b = _rand_fp12(paper, rng), _rand_fp12(paper, rng)
+        _, expected = with_counting(lambda: self._work(a, b, paper))
+
+        running, done = threading.Event(), threading.Event()
+        uncounted_calls = []
+        results = []
+
+        def uncounted():
+            while not done.is_set():
+                tower.fp12_mul(a, b, paper)
+                uncounted_calls.append(1)
+                running.set()
+
+        def counted():
+            running.wait(30)
+            try:
+                with counting() as ctx:
+                    self._work(a, b, paper)
+                results.append(ctx.counts)
+            finally:
+                done.set()
+
+        _run_threads([uncounted, counted])
+        assert uncounted_calls
+        assert results == [expected]
+
+    def test_tick_is_noop_after_scope_exits_by_exception(self):
+        with pytest.raises(RuntimeError):
+            with counting() as ctx:
+                tick("m")
+                raise RuntimeError("leave the scope")
+        assert costmodel._open_scopes == 0
+        tick("m")
+        assert ctx.counts.as_dict() == {"m": 1, "direct_m": 1}
+
+    def test_fp2_depth_restored_after_exception(self, paper):
+        with counting() as ctx:
+            with pytest.raises(TypeError):
+                # fails inside the F_p2 operation, after its first F_p tick
+                tower.fp2_mul((None, 0), (1, 1), paper)
+            assert ctx.fp2_depth == 0
+            fp.mont_mul(1, 1, paper.modulus)
+        assert ctx.counts.direct_m == 1
+        assert ctx.counts.m == 2
 
 
 class TestCycleModel:
