@@ -238,18 +238,21 @@ def g2_add_mixed(Q: G2Point, R_affine: tuple[Fp2, Fp2], par) -> G2Point:
 
 
 def g2_scalar_mul(Q: G2Point, k: int, par) -> G2Point:
+    """[k]Q by left-to-right double-and-add in Jacobian coordinates.
+
+    Q is made affine once, so every addition is mixed and the whole
+    multiplication costs one F_{p^2} inversion.
+    """
     if k < 0:
         return g2_scalar_mul(g2_negate(Q, par), -k, par)
     result = G2Point.zero(par)
-    addend = Q
-    while k:
-        if k & 1:
-            aff = g2_to_affine(addend, par)
-            result = (
-                g2_add_mixed(result, aff, par) if aff is not None else result
-            )
-        addend = g2_double(addend, par)
-        k >>= 1
+    aff = g2_to_affine(Q, par)
+    if aff is None:
+        return result
+    for bit in bin(k)[2:]:
+        result = g2_double(result, par)
+        if bit == "1":
+            result = g2_add_mixed(result, aff, par)
     return result
 
 

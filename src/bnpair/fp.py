@@ -137,8 +137,8 @@ def mont_mul(a: FpElement, b: FpElement, m: PrimeModulus) -> FpElement:
 
 
 def mont_mul_raw(a: FpElement, b: FpElement, m: PrimeModulus) -> FpElement:
-    """Uncounted Montgomery product, for composite operations that are
-    themselves counted as a unit (inversion, conversions)."""
+    """Uncounted Montgomery product, for the domain conversions, which the
+    cost model does not count."""
     return _redc(a * b, m)
 
 
@@ -228,28 +228,23 @@ def from_mont(a: FpElement, m: PrimeModulus) -> int:
 
 
 def inv_mod(a: FpElement, m: PrimeModulus) -> FpElement:
-    """Montgomery-domain inverse by a fixed square-and-multiply chain over
-    p - 2 (Fermat); counted as one base-field inversion."""
+    """Montgomery-domain inverse, counted as one base-field inversion.
+
+    For ``a = x R`` the integer inverse ``a^-1 = x^-1 R^-1`` is taken with
+    Python's built-in extended Euclid (``pow(a, -1, p)``) and moved back into
+    the Montgomery domain by one multiplication with ``R^2``, giving
+    ``x^-1 R``.  Only the inversion is counted (one ``i``, no ``m``): the
+    hardware model prices an inversion as a unit, however it is computed.
+    """
     if a == 0:
         raise ZeroDivisionError("zero is not invertible")
     tick("i")
-    result = m.r_mod_p  # to_mont(1)
-    base = a
-    e = m.p - 2
-    for bit in bin(e)[2:]:
-        result = mont_mul_raw(result, result, m)
-        if bit == "1":
-            result = mont_mul_raw(result, base, m)
-    return result
+    return pow(a, -1, m.p) * m.r2_mod_p % m.p
 
 
 # ---------------------------------------------------------------------------
-# Comparison and hex I/O
+# Zero test and hex I/O
 # ---------------------------------------------------------------------------
-
-
-def cmp(a: FpElement, b: FpElement) -> int:
-    return (a > b) - (a < b)
 
 
 def is_zero(a: FpElement) -> bool:

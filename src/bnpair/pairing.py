@@ -43,11 +43,27 @@ def validate_g1(P: G1Point, par) -> None:
 
 
 def validate_g2(Q: G2Point, par) -> None:
+    """Reject Q unless it is a finite twist point of order r.
+
+    Membership uses the twist endomorphism psi instead of [r]Q (Scott,
+    ePrint 2021/1130; El Housni, Guillevic and Piellard, ePrint 2022/352):
+    Q is in G2 iff psi(Q) = [6t^2]Q, a scalar of half the bits of r.  On a
+    BN curve this is a complete test for every point of the twist:
+
+    * psi is the p-power Frobenius seen through the twist, so it satisfies
+      psi^2 - [t_r] psi + [p] = 0.  If psi(Q) = [l]Q with l = 6t^2 and
+      t_r = l + 1, then [l^2 - (l + 1) l + p]Q = [p - 6t^2]Q = [r]Q = 0.
+      Because r^2 does not divide the twist order r (2p - r), the points
+      of order r are exactly G2.
+    * Conversely psi acts on G2 as [p], and p = 6t^2 + r, so every point
+      of G2 passes.
+    """
     if Q.infinity:
         raise PairingError("G2 input is the point at infinity")
     if not curve.g2_is_on_curve(Q, par):
         raise PairingError("G2 input is not on the twist")
-    if not curve.g2_scalar_mul(Q, par.r, par).infinity:
+    psi = curve.g2_frobenius_psi(curve.g2_to_affine(Q, par), par, 1)
+    if psi != curve.g2_to_affine(curve.g2_scalar_mul(Q, 6 * par.t**2, par), par):
         raise PairingError("G2 input is not in the order-r subgroup")
 
 

@@ -20,7 +20,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from . import fp, tower
+from . import curve, fp, tower
 
 SCHEMA_VERSION = 1
 
@@ -216,44 +216,8 @@ def _sqrt_fp2(a: tower.Fp2, fld) -> tower.Fp2 | None:
 
 
 # ---------------------------------------------------------------------------
-# Twist-point helpers (local affine arithmetic over F_{p^2})
+# Twist points
 # ---------------------------------------------------------------------------
-
-_INF2 = None
-
-
-def _twist_add(P, Q, fld):
-    if P is _INF2:
-        return Q
-    if Q is _INF2:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if tower.fp2_is_zero(tower.fp2_add(y1, y2, fld)):
-            return _INF2
-        num = tower.fp2_mul(tower.fp2_from_ints(3, 0, fld), tower.fp2_mul(x1, x1, fld), fld)
-        lam = tower.fp2_mul(num, tower.fp2_inv(tower.fp2_double(y1, fld), fld), fld)
-    else:
-        lam = tower.fp2_mul(
-            tower.fp2_sub(y2, y1, fld),
-            tower.fp2_inv(tower.fp2_sub(x2, x1, fld), fld),
-            fld,
-        )
-    x3 = tower.fp2_sub(tower.fp2_sub(tower.fp2_mul(lam, lam, fld), x1, fld), x2, fld)
-    y3 = tower.fp2_sub(tower.fp2_mul(lam, tower.fp2_sub(x1, x3, fld), fld), y1, fld)
-    return (x3, y3)
-
-
-def _twist_scalar_mul(k: int, P, fld):
-    result = _INF2
-    addend = P
-    while k:
-        if k & 1:
-            result = _twist_add(result, addend, fld)
-        addend = _twist_add(addend, addend, fld)
-        k >>= 1
-    return result
 
 
 def _twist_points(b_twist: tower.Fp2, fld, count: int):
@@ -305,7 +269,10 @@ def _twist_order_matches(b_twist: tower.Fp2, order: int, fld) -> bool:
     pts = _twist_points(b_twist, fld, 3)
     if len(pts) < 3:
         return False
-    return all(_twist_scalar_mul(order, P, fld) is _INF2 for P in pts)
+    return all(
+        curve.g2_scalar_mul(curve.G2Point.from_affine(x, y, fld), order, fld).infinity
+        for x, y in pts
+    )
 
 
 def compute_frobenius_constants(modulus: fp.PrimeModulus, beta: int, xi: tuple[int, int]) -> dict:
@@ -391,13 +358,13 @@ def derive_params(t: int, b: int = PAPER_B) -> BnParams:
 
     # G2 generator: cofactor-clear the first deterministic twist point.
     g2 = None
-    for Q in _twist_points(b_twist, fld, 6):
-        cand = _twist_scalar_mul(h2, Q, fld)
-        if cand is not _INF2:
-            if _twist_scalar_mul(r, cand, fld) is not _INF2:
+    for x, y in _twist_points(b_twist, fld, 6):
+        cand = curve.g2_scalar_mul(curve.G2Point.from_affine(x, y, fld), h2, fld)
+        if not cand.infinity:
+            if not curve.g2_scalar_mul(cand, r, fld).infinity:
                 errors.append("cofactor-cleared twist point does not have order r")
                 break
-            g2 = cand
+            g2 = curve.g2_to_affine(cand, fld)
             break
     if g2 is None and not errors:
         errors.append("G2 generator search exhausted")

@@ -66,10 +66,6 @@ def fp2_is_zero(a: Fp2) -> bool:
     return a[0] == 0 and a[1] == 0
 
 
-def fp2_eq(a: Fp2, b: Fp2) -> bool:
-    return a == b
-
-
 def fp2_add(a: Fp2, b: Fp2, fld) -> Fp2:
     tick("a2")
     m = fld.modulus
@@ -152,12 +148,6 @@ def fp2_mul_xi(a: Fp2, fld) -> Fp2:
         if u1:
             c1 = fp.add_mod(c1, fp.mul_small(a[0], u1, m), m)
         return (c0, c1)
-
-
-def fp2_mul_fp(a: Fp2, k: int, fld) -> Fp2:
-    """Scale an F_{p^2} element by a base-field element (2 multiplications)."""
-    m = fld.modulus
-    return (fp.mont_mul(a[0], k, m), fp.mont_mul(a[1], k, m))
 
 
 def fp2_inv(a: Fp2, fld) -> Fp2:
@@ -306,10 +296,6 @@ def fp12_is_one(a: Fp12, fld) -> bool:
     return a == fp12_one(fld)
 
 
-def fp12_eq(a: Fp12, b: Fp12) -> bool:
-    return a == b
-
-
 def fp12_add(a: Fp12, b: Fp12, fld) -> Fp12:
     return (fp6_add(a[0], b[0], fld), fp6_add(a[1], b[1], fld))
 
@@ -409,10 +395,6 @@ def frobenius_p(a: Fp12, fld) -> Fp12:
 
 def frobenius_p2(a: Fp12, fld) -> Fp12:
     return frobenius(a, 2, fld)
-
-
-def frobenius_p3(a: Fp12, fld) -> Fp12:
-    return frobenius(a, 3, fld)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,21 @@ class TestCost:
         )
         assert code != 0
 
+    @pytest.mark.parametrize(
+        "function",
+        [
+            "fp2_mul", "fp2_sqr", "fp6_mul", "fp12_mul", "fp12_sqr",
+            "cyclotomic_sqr", "sparse_mul", "doubling_step", "addition_step",
+            "miller_loop", "final_exponentiation", "pairing",
+        ],
+    )
+    def test_every_function_id_is_known(self, function, capsys):
+        code, out, _ = run_cli(
+            ["cost", "--t", "1", "--function", function, "--arch", "sw"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["counts"]
+
 
 class TestSelftest:
     def test_quick(self, capsys):

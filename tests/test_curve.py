@@ -5,7 +5,7 @@ import pytest
 
 from bnpair import curve, tower
 from bnpair.costmodel import with_counting
-from bnpair.curve import CurveError, G1Point
+from bnpair.curve import CurveError, G1Point, G2Point
 
 
 class TestG1:
@@ -80,6 +80,58 @@ class TestG2:
         pts = enumerate_twist_fp2(tiny)
         # full twist group order is r * (2p - r)
         assert len(pts) + 1 == tiny.r * tiny.g2_cofactor
+
+
+def _multiples(P, neg_P, zero, add, r):
+    """(k, [k]P) for every k in [-r, 2r], by repeated addition."""
+    out = []
+    for step, sign, top in ((P, 1, 2 * r), (neg_P, -1, r)):
+        acc = zero
+        for n in range(top + 1):
+            out.append((sign * n, acc))
+            acc = add(acc, step)
+    return out
+
+
+def _twist_point(x, y, par):
+    return G2Point.from_affine(tower.fp2_from_ints(*x, par), tower.fp2_from_ints(*y, par), par)
+
+
+class TestScalarMulOracle:
+    """Both scalar multiplications against a repeated-addition chain on the
+    toy curve, for every k in [-r, 2r]."""
+
+    def test_g1_matches_repeated_addition(self, tiny):
+        G = curve.g1_generator(tiny)
+        chain = _multiples(
+            G, curve.g1_negate(G, tiny), G1Point.zero(),
+            lambda A, B: curve.g1_add(A, B, tiny), tiny.r,
+        )
+        for k, want in chain:
+            assert curve.g1_scalar_mul(G, k, tiny) == want
+
+    def test_g2_matches_repeated_addition(self, tiny):
+        from oracles import enumerate_twist_fp2
+
+        # a point of G2 and a twist point outside it, whose order is not r
+        outside = next(
+            Q
+            for Q in (_twist_point(x, y, tiny) for x, y in enumerate_twist_fp2(tiny))
+            if not curve.g2_scalar_mul(Q, tiny.r, tiny).infinity
+        )
+        for Q in (curve.g2_generator(tiny), outside):
+            chain = _multiples(
+                curve.g2_to_affine(Q, tiny),
+                curve.g2_to_affine(curve.g2_negate(Q, tiny), tiny),
+                G2Point.zero(tiny),
+                lambda A, B: curve.g2_add_mixed(A, B, tiny),
+                tiny.r,
+            )
+            for k, want in chain:
+                assert curve.g2_eq(curve.g2_scalar_mul(Q, k, tiny), want, tiny)
+
+    def test_g2_scalar_mul_of_infinity(self, tiny):
+        assert curve.g2_scalar_mul(G2Point.zero(tiny), 5, tiny).infinity
 
 
 class TestMillerSteps:

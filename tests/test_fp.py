@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnpair import fp, params
+from bnpair.costmodel import with_counting
 from oracles import mont_mul_oracle
 
 P254 = params.paper_params().p
@@ -85,6 +86,22 @@ class TestModularOps:
         am = to_m(a)
         inv = fp.inv_mod(am, MOD)
         assert fp.mont_mul(am, inv, MOD) == MOD.r_mod_p  # 1 in Montgomery form
+
+    def test_inverse_every_toy_residue(self, tiny):
+        m = tiny.modulus
+        for x in range(1, tiny.p):
+            a = fp.to_mont(x, m)
+            inv = fp.inv_mod(a, m)
+            assert fp.from_mont(inv, m) * x % tiny.p == 1
+            assert fp.mont_mul_raw(a, inv, m) == m.r_mod_p
+
+    def test_inverse_counts_one_inversion(self, tiny, paper):
+        for par in (tiny, paper):
+            a = fp.to_mont(par.p - 2, par.modulus)
+            _, counts = with_counting(lambda: fp.inv_mod(a, par.modulus))
+            assert counts.i == 1
+            assert counts.m == 0
+            assert counts.as_dict() == {"i": 1, "direct_i": 1}
 
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroDivisionError):

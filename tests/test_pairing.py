@@ -125,3 +125,48 @@ class TestOptimalAte:
         items = res.to_hex(tiny)
         assert len(items) == 12
         assert tower.fp12_from_hex(items, tiny) == res.value
+
+
+def _accepts_g2(Q, par) -> bool:
+    try:
+        pairing.validate_g2(Q, par)
+    except PairingError:
+        return False
+    return True
+
+
+class TestG2Membership:
+    """validate_g2's psi test against the [r]Q oracle it replaces."""
+
+    def test_toy_exhaustive_agrees_with_r_torsion(self, tiny):
+        from oracles import enumerate_twist_fp2
+
+        accepted = 0
+        for x, y in enumerate_twist_fp2(tiny):
+            Q = G2Point.from_affine(
+                tower.fp2_from_ints(*x, tiny), tower.fp2_from_ints(*y, tiny), tiny
+            )
+            in_g2 = curve.g2_scalar_mul(Q, tiny.r, tiny).infinity
+            assert _accepts_g2(Q, tiny) == in_g2
+            accepted += in_g2
+        assert accepted == tiny.r - 1  # every finite point of G2, and no other
+
+    def test_paper_rejects_uncleared_cofactor(self, paper):
+        from bnpair.params import _twist_points
+
+        G = curve.g2_generator(paper)
+        G_aff = curve.g2_to_affine(G, paper)
+        for x, y in _twist_points(paper.b_twist, paper, 2):
+            raw = G2Point.from_affine(x, y, paper)
+            assert curve.g2_is_on_curve(raw, paper)
+            assert not curve.g2_scalar_mul(raw, paper.r, paper).infinity
+            shifted = curve.g2_add_mixed(raw, G_aff, paper)
+            assert not curve.g2_scalar_mul(shifted, paper.r, paper).infinity
+            for Q in (raw, shifted):
+                with pytest.raises(PairingError):
+                    pairing.validate_g2(Q, paper)
+            # clearing the cofactor makes the same point valid
+            cleared = curve.g2_scalar_mul(raw, paper.g2_cofactor, paper)
+            assert curve.g2_scalar_mul(cleared, paper.r, paper).infinity
+            pairing.validate_g2(cleared, paper)
+
